@@ -2,8 +2,8 @@
 # tier-1 build + test suite so a perf number is never reported for a
 # broken tree; it writes BENCH_10.json next to this Makefile.
 
-.PHONY: all build test check lint race-lint bench shard shard-smoke \
-  shard-migrate-smoke reloc-smoke ci-determinism clean
+.PHONY: all build test check lint race-lint bench bench-selftest shard \
+  shard-smoke shard-migrate-smoke reloc-smoke ci-determinism clean
 
 all: build
 
@@ -36,6 +36,13 @@ race-lint: build
 
 bench: test
 	dune exec bench/main.exe -- --micro --json
+
+# Benchmark self-test: every perfbench workload at smoke size, untraced
+# and traced. Its golden digests pin the simulated outputs (Table 1,
+# Figure 5, protocol rows, shard report, checker and lint JSON), so any
+# change to simulated behaviour fails here. About two minutes.
+bench-selftest:
+	python3 perfbench/run.py --self-test
 
 # The sharded directory service at acceptance scale: 16 shards, a
 # million closed-loop requests, a mid-run power failure and per-shard

@@ -1,11 +1,15 @@
 (** A typed, multi-subscriber event bus.
 
     The publish side is built for instrumentation points on simulation
-    hot paths: with no subscriber attached, {!publish} is one load and
-    one branch — no closure call, no allocation, no option probe per
-    emitter. Subscribers are held in a flat array rebuilt on
+    hot paths. Subscribers are held in a flat array rebuilt on
     (un)subscribe, so dispatch is a tight loop over immutable state and
-    the subscribe path may be as slow as it likes.
+    the subscribe path may be as slow as it likes. With no subscriber
+    attached, {!publish} itself is one load and one branch — but an
+    event carrying a payload is allocated by the caller {e before} the
+    call, so a hot emitter guards construction with {!active} (or
+    {!dense}, for high-rate events) and pays one branch and no
+    allocation when nobody listens:
+    {[ if Bus.active bus then Bus.publish bus (Ev { addr; len }) ]}
 
     Subscriptions are {e scoped}: {!subscribe} returns a handle and
     {!unsubscribe} removes exactly that handle, leaving every other
@@ -30,12 +34,27 @@ val create : unit -> 'a t
 
 val publish : 'a t -> 'a -> unit
 (** Delivers the event to every subscriber in subscription order.
-    A no-op (single branch) when nobody is subscribed. A subscriber
-    exception propagates; later subscribers are skipped. *)
+    A no-op when nobody is subscribed (the event value has already been
+    built, though — see {!active}). A subscriber exception propagates;
+    later subscribers are skipped. *)
 
-val subscribe : 'a t -> ('a -> unit) -> subscription
+val subscribe : ?sparse:bool -> 'a t -> ('a -> unit) -> subscription
 (** Attaches a subscriber after all current ones. Composes: existing
-    subscriptions are untouched. *)
+    subscriptions are untouched.
+
+    [~sparse:true] (default [false]) declares that the subscriber
+    ignores the high-rate events emitters guard with {!dense} (per-word
+    stores, write-backs): while only sparse subscribers are attached
+    those events are not built at all. A sparse subscriber still
+    receives them whenever a dense one is attached, so it must not
+    depend on their presence or absence. *)
+
+val active : 'a t -> bool
+(** [subscriber_count t > 0]: the guard for building an event. *)
+
+val dense : 'a t -> bool
+(** Some non-sparse subscriber is attached: the guard for building a
+    high-rate event. *)
 
 val unsubscribe : subscription -> unit
 (** Detaches exactly this subscription; other subscribers keep

@@ -8,189 +8,183 @@ type config = {
   hit_latency : Time.t;
 }
 
-(* Ways double as nodes of an intrusive, circular, doubly-linked list of
-   dirty lines threaded through [dirty_prev]/[dirty_next] (self-linked
-   when clean). The list makes [dirty_lines]/[iter_dirty] O(dirty) and,
-   together with the [dirty_n]/[resident_n] counters, turns the dirty
-   polls that protocol loops issue per simulated step from O(total
-   slots) into O(dirty). *)
-type way = {
-  mutable line : int;
-  mutable valid : bool;
-  mutable dirty : bool;
-  mutable age : int;  (* Larger is more recent. *)
-  mutable dirty_prev : way;
-  mutable dirty_next : way;
-}
-
+(* Struct-of-arrays tag store. Way [w] of set [s] is slot
+   [s * associativity + w]; per slot, [tags] holds the line (-1 when
+   invalid), [ages] the LRU stamp (larger is more recent; kept across
+   invalidation, since the victim tie-break among invalid ways reads it)
+   and [dirty] one byte. The dirty slots form a circular doubly-linked
+   list threaded through [dirty_prev]/[dirty_next], with slot index
+   [sentinel] (one past the last way) as its head; a clean slot links to
+   itself. The list keeps [dirty_lines]/[iter_dirty] O(dirty) and in
+   dirtying order, and together with the counters turns the dirty polls
+   protocol loops issue per simulated step into O(dirty). Nothing here
+   allocates after [create]. *)
 type t = {
   cfg : config;
-  sets : way array array;
   n_sets : int;
-  dirty_list : way;  (* Sentinel of the circular dirty list. *)
+  assoc : int;
+  tags : int array;
+  ages : int array;
+  dirty : Bytes.t;  (* '\001' = dirty *)
+  dirty_prev : int array;  (* length slots + 1: the sentinel is last *)
+  dirty_next : int array;
+  sentinel : int;
   mutable dirty_n : int;
   mutable resident_n : int;
   mutable tick : int;
 }
 
-let make_way () =
-  let rec w =
-    { line = 0; valid = false; dirty = false; age = 0; dirty_prev = w; dirty_next = w }
-  in
-  w
-
 let create cfg =
   let total_lines = Units.Size.to_bytes cfg.size / cfg.line_size in
   assert (total_lines > 0 && cfg.associativity > 0);
   assert (total_lines mod cfg.associativity = 0);
-  let n_sets = total_lines / cfg.associativity in
-  let sets =
-    Array.init n_sets (fun _ -> Array.init cfg.associativity (fun _ -> make_way ()))
-  in
   {
     cfg;
-    sets;
-    n_sets;
-    dirty_list = make_way ();
+    n_sets = total_lines / cfg.associativity;
+    assoc = cfg.associativity;
+    tags = Array.make total_lines (-1);
+    ages = Array.make total_lines 0;
+    dirty = Bytes.make total_lines '\000';
+    dirty_prev = Array.init (total_lines + 1) Fun.id;
+    dirty_next = Array.init (total_lines + 1) Fun.id;
+    sentinel = total_lines;
     dirty_n = 0;
     resident_n = 0;
     tick = 0;
   }
 
 let config t = t.cfg
-let line_count t = t.n_sets * t.cfg.associativity
+let line_count t = t.sentinel
 
 let line_of_addr t addr =
   (* Addresses are non-negative byte addresses; asserting here lets
-     [set_of_line] skip the mod-normalisation dance on the hot path. *)
+     [find] skip the mod-normalisation dance on the hot path. *)
   assert (addr >= 0);
   addr / t.cfg.line_size
 
-let set_of_line t line = line mod t.n_sets
+let is_dirty_slot t s = Bytes.unsafe_get t.dirty s <> '\000'
 
 (* Appending at the tail keeps [dirty_lines] in dirtying order, which is
    deterministic regardless of cache geometry. *)
-let link_dirty t w =
-  let s = t.dirty_list in
-  let last = s.dirty_prev in
-  w.dirty_prev <- last;
-  w.dirty_next <- s;
-  last.dirty_next <- w;
-  s.dirty_prev <- w;
-  t.dirty_n <- t.dirty_n + 1
-
-let unlink_dirty t w =
-  w.dirty_prev.dirty_next <- w.dirty_next;
-  w.dirty_next.dirty_prev <- w.dirty_prev;
-  w.dirty_prev <- w;
-  w.dirty_next <- w;
-  t.dirty_n <- t.dirty_n - 1
-
-let mark_dirty t w =
-  if not w.dirty then begin
-    w.dirty <- true;
-    link_dirty t w
+let mark_dirty t s =
+  if not (is_dirty_slot t s) then begin
+    Bytes.unsafe_set t.dirty s '\001';
+    let last = t.dirty_prev.(t.sentinel) in
+    t.dirty_prev.(s) <- last;
+    t.dirty_next.(s) <- t.sentinel;
+    t.dirty_next.(last) <- s;
+    t.dirty_prev.(t.sentinel) <- s;
+    t.dirty_n <- t.dirty_n + 1
   end
 
-let mark_clean t w =
-  if w.dirty then begin
-    w.dirty <- false;
-    unlink_dirty t w
+let mark_clean t s =
+  if is_dirty_slot t s then begin
+    Bytes.unsafe_set t.dirty s '\000';
+    let prev = t.dirty_prev.(s) and next = t.dirty_next.(s) in
+    t.dirty_next.(prev) <- next;
+    t.dirty_prev.(next) <- prev;
+    t.dirty_prev.(s) <- s;
+    t.dirty_next.(s) <- s;
+    t.dirty_n <- t.dirty_n - 1
   end
 
-type victim = { line : int; dirty : bool }
+(* An evicted line and its dirty bit packed into one immediate, so the
+   miss path allocates nothing. *)
+type victim = int
 
-(* Top-level so probing allocates no closure. *)
-let rec scan_set set line i n =
-  if i >= n then -1
-  else
-    let w = Array.unsafe_get set i in
-    if w.valid && w.line = line then i else scan_set set line (i + 1) n
+let no_victim = -1
+let victim_line v = v asr 1
+let victim_dirty v = v land 1 = 1
 
-let find_way t line =
-  let set = t.sets.(set_of_line t line) in
-  let i = scan_set set line 0 (Array.length set) in
-  if i < 0 then None else Some set.(i)
+(* Top-level so probing allocates no closure. Invalid slots hold -1,
+   which no line equals. *)
+let rec scan (tags : int array) (line : int) i stop =
+  if i >= stop then -1
+  else if Array.unsafe_get tags i = line then i
+  else scan tags line (i + 1) stop
 
-let touch t way =
+(* The slot holding [line], or -1. *)
+let find t line =
+  let base = line mod t.n_sets * t.assoc in
+  scan t.tags line base (base + t.assoc)
+
+let touch t s =
   t.tick <- t.tick + 1;
-  way.age <- t.tick
+  t.ages.(s) <- t.tick
 
 let probe t ~line =
-  let set = t.sets.(set_of_line t line) in
-  let i = scan_set set line 0 (Array.length set) in
-  if i < 0 then false
-  else begin
-    touch t (Array.unsafe_get set i);
-    true
-  end
+  let s = find t line in
+  s >= 0
+  && begin
+       touch t s;
+       true
+     end
 
-let contains t ~line =
-  let set = t.sets.(set_of_line t line) in
-  scan_set set line 0 (Array.length set) >= 0
+let contains t ~line = find t line >= 0
 
 (* Victim selection: prefer an invalid way; otherwise the least recently
-   used. Top-level and index-based to keep the miss path closure-free. *)
-let rec pick_slot set i n best =
-  if i >= n then best
+   used; ties keep the lower way. *)
+let rec pick_slot t i stop best =
+  if i >= stop then best
   else
-    let w = Array.unsafe_get set i and b = Array.unsafe_get set best in
+    let valid = t.tags.(i) >= 0 and best_valid = t.tags.(best) >= 0 in
+    let older = t.ages.(i) < t.ages.(best) in
     let best =
-      if not w.valid then if b.valid || w.age < b.age then i else best
-      else if b.valid && w.age < b.age then i
+      if not valid then if best_valid || older then i else best
+      else if best_valid && older then i
       else best
     in
-    pick_slot set (i + 1) n best
+    pick_slot t (i + 1) stop best
 
 let insert t ~line ~dirty =
-  match find_way t line with
-  | Some way ->
-      if dirty then mark_dirty t way;
-      touch t way;
-      None
-  | None ->
-      let set = t.sets.(set_of_line t line) in
-      let slot = set.(pick_slot set 1 (Array.length set) 0) in
-      let victim =
-        if slot.valid then Some { line = slot.line; dirty = slot.dirty }
-        else None
-      in
-      if not slot.valid then t.resident_n <- t.resident_n + 1;
-      mark_clean t slot;
-      slot.valid <- true;
-      slot.line <- line;
-      if dirty then mark_dirty t slot;
-      touch t slot;
-      victim
+  let s = find t line in
+  if s >= 0 then begin
+    if dirty then mark_dirty t s;
+    touch t s;
+    no_victim
+  end
+  else begin
+    let base = line mod t.n_sets * t.assoc in
+    let s = pick_slot t (base + 1) (base + t.assoc) base in
+    let old = t.tags.(s) in
+    let victim =
+      if old < 0 then begin
+        t.resident_n <- t.resident_n + 1;
+        no_victim
+      end
+      else (old lsl 1) lor Bool.to_int (is_dirty_slot t s)
+    in
+    mark_clean t s;
+    t.tags.(s) <- line;
+    if dirty then mark_dirty t s;
+    touch t s;
+    victim
+  end
 
 let set_dirty t ~line =
-  match find_way t line with Some way -> mark_dirty t way | None -> ()
+  let s = find t line in
+  if s >= 0 then mark_dirty t s
 
 let is_dirty t ~line =
-  match find_way t line with Some way -> way.dirty | None -> false
+  let s = find t line in
+  s >= 0 && is_dirty_slot t s
 
 let invalidate t ~line =
-  match find_way t line with
-  | Some way ->
-      let was_dirty = way.dirty in
-      mark_clean t way;
-      way.valid <- false;
-      t.resident_n <- t.resident_n - 1;
-      was_dirty
-  | None -> false
-
-let fold f acc t =
-  Array.fold_left
-    (fun acc set ->
-      Array.fold_left (fun acc way -> if way.valid then f acc way else acc) acc set)
-    acc t.sets
+  let s = find t line in
+  s >= 0
+  && begin
+       let was_dirty = is_dirty_slot t s in
+       mark_clean t s;
+       t.tags.(s) <- -1;
+       t.resident_n <- t.resident_n - 1;
+       was_dirty
+     end
 
 let iter_dirty t f =
-  let s = t.dirty_list in
-  let w = ref s.dirty_next in
-  while !w != s do
-    f !w.line;
-    w := !w.dirty_next
+  let s = ref t.dirty_next.(t.sentinel) in
+  while !s <> t.sentinel do
+    f t.tags.(!s);
+    s := t.dirty_next.(!s)
   done
 
 let dirty_lines t =
@@ -202,87 +196,67 @@ let dirty_count t = t.dirty_n
 let resident_count t = t.resident_n
 
 (* Brute-force references for the incremental bookkeeping, kept for the
-   invariant tests and the before/after microbenchmarks. *)
+   invariant tests and the before/after microbenchmarks: folds over
+   every slot that ignore the counters and the dirty list. *)
+let fold_slots f acc t =
+  let acc = ref acc in
+  Array.iteri (fun s line -> if line >= 0 then acc := f !acc s line) t.tags;
+  !acc
+
 let dirty_lines_slow t =
-  fold (fun acc way -> if way.dirty then way.line :: acc else acc) [] t
+  fold_slots (fun acc s line -> if is_dirty_slot t s then line :: acc else acc) [] t
 
-let dirty_count_slow t = fold (fun acc way -> if way.dirty then acc + 1 else acc) 0 t
-let resident_count_slow t = fold (fun acc _ -> acc + 1) 0 t
+let dirty_count_slow t =
+  fold_slots (fun acc s _ -> if is_dirty_slot t s then acc + 1 else acc) 0 t
 
-(* Snapshots capture every observable piece of tag state: per-way
-   contents, the LRU clock, and — because [iter_dirty]'s oldest-first
-   order is visible through write-back event order — the dirty list's
-   exact ordering, saved as a line array and relinked on restore. *)
+let resident_count_slow t = fold_slots (fun acc _ _ -> acc + 1) 0 t
+
+(* A snapshot copies every array of the tag store, the dirty list's
+   links included, so restoring is a blit per array: the dirty order
+   (observable through the write-back order of [iter_dirty]) comes back
+   exactly, with no per-line lookup. *)
 type snapshot = {
-  snap_slots : (int * bool * bool * int) array;
-      (* Per flat way slot: line, valid, dirty, age. *)
-  snap_dirty : int array;  (* Dirty lines, oldest-dirtied first. *)
-  snap_tick : int;
+  snap_tags : int array;
+  snap_ages : int array;
+  snap_dirty : Bytes.t;
+  snap_prev : int array;
+  snap_next : int array;
+  snap_dirty_n : int;
   snap_resident : int;
+  snap_tick : int;
 }
 
 let snapshot t =
-  let assoc = t.cfg.associativity in
-  let slots = Array.make (t.n_sets * assoc) (0, false, false, 0) in
-  Array.iteri
-    (fun si set ->
-      Array.iteri
-        (fun wi (w : way) ->
-          slots.((si * assoc) + wi) <- (w.line, w.valid, w.dirty, w.age))
-        set)
-    t.sets;
-  let dirty = Array.make t.dirty_n 0 in
-  let i = ref 0 in
-  iter_dirty t (fun line ->
-      dirty.(!i) <- line;
-      incr i);
   {
-    snap_slots = slots;
-    snap_dirty = dirty;
-    snap_tick = t.tick;
+    snap_tags = Array.copy t.tags;
+    snap_ages = Array.copy t.ages;
+    snap_dirty = Bytes.copy t.dirty;
+    snap_prev = Array.copy t.dirty_prev;
+    snap_next = Array.copy t.dirty_next;
+    snap_dirty_n = t.dirty_n;
     snap_resident = t.resident_n;
+    snap_tick = t.tick;
   }
 
 let restore t s =
-  let assoc = t.cfg.associativity in
-  if Array.length s.snap_slots <> t.n_sets * assoc then
+  if Array.length s.snap_tags <> t.sentinel then
     invalid_arg "Cache.restore: snapshot from a different geometry";
-  Array.iteri
-    (fun si set ->
-      Array.iteri
-        (fun wi (w : way) ->
-          let line, valid, dirty, age = s.snap_slots.((si * assoc) + wi) in
-          w.line <- line;
-          w.valid <- valid;
-          w.dirty <- dirty;
-          w.age <- age;
-          w.dirty_prev <- w;
-          w.dirty_next <- w)
-        set)
-    t.sets;
-  let sentinel = t.dirty_list in
-  sentinel.dirty_prev <- sentinel;
-  sentinel.dirty_next <- sentinel;
-  t.dirty_n <- 0;
-  Array.iter
-    (fun line ->
-      match find_way t line with
-      | Some w -> link_dirty t w
-      | None -> assert false)
-    s.snap_dirty;
-  t.tick <- s.snap_tick;
-  t.resident_n <- s.snap_resident
+  let blit src dst = Array.blit src 0 dst 0 (Array.length dst) in
+  blit s.snap_tags t.tags;
+  blit s.snap_ages t.ages;
+  Bytes.blit s.snap_dirty 0 t.dirty 0 t.sentinel;
+  blit s.snap_prev t.dirty_prev;
+  blit s.snap_next t.dirty_next;
+  t.dirty_n <- s.snap_dirty_n;
+  t.resident_n <- s.snap_resident;
+  t.tick <- s.snap_tick
 
 let clear t =
-  Array.iter
-    (Array.iter (fun way ->
-         way.valid <- false;
-         way.dirty <- false;
-         way.dirty_prev <- way;
-         way.dirty_next <- way))
-    t.sets;
-  let s = t.dirty_list in
-  s.dirty_prev <- s;
-  s.dirty_next <- s;
+  Array.fill t.tags 0 t.sentinel (-1);
+  Bytes.fill t.dirty 0 t.sentinel '\000';
+  for s = 0 to t.sentinel do
+    t.dirty_prev.(s) <- s;
+    t.dirty_next.(s) <- s
+  done;
   t.dirty_n <- 0;
   t.resident_n <- 0

@@ -1,18 +1,20 @@
 (** A single set-associative cache level.
 
     The cache tracks tag state only (presence, dirty bit, LRU age); line
-    contents live with the memory backing store, which keeps a buffer of
-    dirty-line data (see {!Wsp_nvheap.Nvram}). Addresses and line
-    numbers are non-negative; the cache works internally in line numbers
-    ([addr / line_size]).
+    contents live with the memory image, which keeps a crash pre-image
+    of every line a cached store has dirtied (see {!Wsp_nvheap.Nvram}).
+    Addresses and line numbers are non-negative; the cache works
+    internally in line numbers ([addr / line_size]).
 
-    Dirty and resident state is tracked incrementally: per-cache
-    counters plus an intrusive doubly-linked index of dirty ways make
-    {!dirty_count}, {!resident_count}, {!dirty_lines} and {!iter_dirty}
-    O(dirty lines) rather than a fold over every way of every set. The
-    flush-on-fail protocol and residual-energy-window loops poll these
-    on every simulated step, so this is the simulator's hottest
-    bookkeeping. *)
+    The tag store is struct-of-arrays: one [int array] of tags (-1 =
+    invalid), one of LRU ages, one dirty byte per way, and the dirty
+    ways threaded into an index-linked list in dirtying order. Lookups,
+    inserts, evictions and the dirty polls allocate nothing; per-cache
+    counters plus the dirty list make {!dirty_count}, {!resident_count},
+    {!dirty_lines} and {!iter_dirty} O(dirty lines) rather than a fold
+    over every way of every set. The flush-on-fail protocol and
+    residual-energy-window loops poll these on every simulated step, and
+    every simulated memory access probes the tags. *)
 
 open Wsp_sim
 
@@ -34,7 +36,13 @@ val line_count : t -> int
 
 val line_of_addr : t -> int -> int
 
-type victim = { line : int; dirty : bool }
+type victim = private int
+(** An evicted line and its dirty bit, packed into an immediate so that
+    a miss allocates nothing. *)
+
+val no_victim : victim
+val victim_line : victim -> int
+val victim_dirty : victim -> bool
 
 val probe : t -> line:int -> bool
 (** [probe t ~line] is [true] on hit, updating LRU recency. *)
@@ -42,10 +50,12 @@ val probe : t -> line:int -> bool
 val contains : t -> line:int -> bool
 (** Like {!probe} but without touching LRU state. *)
 
-val insert : t -> line:int -> dirty:bool -> victim option
+val insert : t -> line:int -> dirty:bool -> victim
 (** Allocates [line]; when the target set is full the LRU way is evicted
-    and returned. Inserting a line already present merges the dirty flag
-    instead. *)
+    and returned, otherwise the result is {!no_victim}. Inserting a line
+    already present merges the dirty flag instead. The way filled is an
+    invalid one if the set has any, else the least recently used; ties
+    go to the lower way. *)
 
 val set_dirty : t -> line:int -> unit
 (** Marks a (present) line dirty. No-op if the line is absent. *)
@@ -81,7 +91,7 @@ type snapshot
     write-back order of {!iter_dirty}). *)
 
 val snapshot : t -> snapshot
-(** O(total slots) copy of the cache's state. *)
+(** O(total slots) copy of the tag-store arrays, dirty links included. *)
 
 val restore : t -> snapshot -> unit
 (** Rewinds [t] to a prior {!snapshot} in place. The snapshot must come

@@ -62,7 +62,14 @@ type t = {
   m : metrics;
 }
 
+(* Callers build the op only under [observed], so an unobserved
+   hierarchy allocates nothing per access. *)
+let observed t = Wsp_events.Bus.active t.ops
 let emit t op = Wsp_events.Bus.publish t.ops op
+
+let write_back t ~line ~explicit =
+  if observed t then emit t (Op_writeback { line; explicit });
+  t.on_writeback ~line ~explicit
 
 let config_line_size (cfg : config) =
   match cfg.levels with
@@ -132,37 +139,35 @@ let line_of t addr =
    otherwise it is demoted into level [i+1] (where inclusion normally
    means it is already present — if not, it is re-inserted, which may
    cascade). *)
-let rec evict_from t i (victim : Cache.victim) =
+let rec evict_from t i victim =
   C.incr t.m.m_evictions;
-  let dirty = ref victim.dirty in
+  let line = Cache.victim_line victim in
+  let dirty = ref (Cache.victim_dirty victim) in
   for j = 0 to i - 1 do
-    if Cache.invalidate t.levels.(j) ~line:victim.line then dirty := true
+    if Cache.invalidate t.levels.(j) ~line then dirty := true
   done;
   if i = Array.length t.levels - 1 then begin
     if !dirty then begin
       C.add t.m.m_writeback_bytes t.line_size;
-      emit t (Op_writeback { line = victim.line; explicit = false });
-      t.on_writeback ~line:victim.line ~explicit:false
+      write_back t ~line ~explicit:false
     end
   end
   else
     let below = t.levels.(i + 1) in
-    if Cache.contains below ~line:victim.line then begin
-      if !dirty then Cache.set_dirty below ~line:victim.line
+    if Cache.contains below ~line then begin
+      if !dirty then Cache.set_dirty below ~line
     end
     else
-      match Cache.insert below ~line:victim.line ~dirty:!dirty with
-      | None -> ()
-      | Some v -> evict_from t (i + 1) v
+      let v = Cache.insert below ~line ~dirty:!dirty in
+      if v <> Cache.no_victim then evict_from t (i + 1) v
 
 (* Fills [line] into levels [0..upto], lowest level first so that
    inclusion holds while upper-level evictions demote downwards. *)
 let fill t ~line ~upto =
   for i = upto downto 0 do
     if not (Cache.contains t.levels.(i) ~line) then
-      match Cache.insert t.levels.(i) ~line ~dirty:false with
-      | None -> ()
-      | Some v -> evict_from t i v
+      let v = Cache.insert t.levels.(i) ~line ~dirty:false in
+      if v <> Cache.no_victim then evict_from t i v
   done
 
 (* Probes levels in order; the hit level's index, or -1 on a full miss.
@@ -192,7 +197,7 @@ let access t ~addr ~write =
   in
   if write then begin
     Cache.set_dirty t.levels.(0) ~line;
-    emit t (Op_store { line })
+    if observed t then emit t (Op_store { line })
   end;
   latency
 
@@ -213,8 +218,7 @@ let store_nt t ~addr =
      bytes are not lost when the caller writes directly to backing. *)
   if invalidate_line t line then begin
     C.add t.m.m_nt_flush_bytes t.line_size;
-    emit t (Op_writeback { line; explicit = true });
-    t.on_writeback ~line ~explicit:true
+    write_back t ~line ~explicit:true
   end;
   t.cfg.nt_store_latency
 
@@ -229,8 +233,7 @@ let clflush t ~addr =
   let dirty = invalidate_line t line in
   if dirty then begin
     C.add t.m.m_clflush_bytes t.line_size;
-    emit t (Op_writeback { line; explicit = true });
-    t.on_writeback ~line ~explicit:true
+    write_back t ~line ~explicit:true
   end;
   let latency = t.cfg.clflush_issue in
   if dirty then
@@ -250,8 +253,7 @@ let flush_lines t ~addr ~len =
     for line = first to last do
       if invalidate_line t line then begin
         incr dirty;
-        emit t (Op_writeback { line; explicit = true });
-        t.on_writeback ~line ~explicit:true
+        write_back t ~line ~explicit:true
       end
     done;
     C.add t.m.m_flush_range_bytes (!dirty * t.line_size);
@@ -322,8 +324,7 @@ let flush_all t =
   let dirty = ref 0 in
   iter_dirty t (fun line ->
       incr dirty;
-      emit t (Op_writeback { line; explicit = true });
-      t.on_writeback ~line ~explicit:true);
+      write_back t ~line ~explicit:true);
   C.add t.m.m_wbinvd_bytes (!dirty * t.line_size);
   Array.iter Cache.clear t.levels;
   let walk = Time.mul t.cfg.wbinvd_line_walk (total_line_slots t) in

@@ -65,7 +65,8 @@ val config_line_size : config -> int
 val ops : t -> op Wsp_events.Bus.t
 (** The persistency-op bus. Both silent capacity evictions and explicit
     flushes publish [Op_writeback] here — one path, any number of
-    subscribers; an unobserved hierarchy pays one branch per op. *)
+    subscribers; an unobserved hierarchy builds no op and pays one
+    branch per op. *)
 
 val load : t -> addr:int -> Time.t
 (** Reads one word; returns the charged latency. *)

@@ -14,6 +14,8 @@ type t = {
   mutable free_list : int list;  (* header addresses, unordered *)
 }
 
+(* Events are built only when someone listens. *)
+let observed t = Wsp_events.Bus.active (Nvram.bus t.nvram)
 let emit t ev = Wsp_events.Bus.publish (Nvram.bus t.nvram) (Event.Heap ev)
 
 let header_size = 8
@@ -28,7 +30,7 @@ let read_header t addr =
 
 let write_header t ?on_header_write addr ~size ~used =
   (match on_header_write with Some f -> f ~addr | None -> ());
-  emit t (Header_write { addr });
+  if observed t then emit t (Header_write { addr });
   let w = Int64.logor (Int64.shift_left (Int64.of_int size) 1) (if used then 1L else 0L) in
   Nvram.write_u64 t.nvram ~addr w
 
@@ -89,7 +91,7 @@ let alloc t ?on_header_write n =
   | Some (hdr, size, rest) ->
       let remainder = size - n in
       if remainder >= header_size + min_payload then begin
-        emit t (Alloc { addr = hdr + header_size; size = n });
+        if observed t then emit t (Alloc { addr = hdr + header_size; size = n });
         (* Split: the tail becomes a new free block. *)
         let tail_hdr = hdr + header_size + n in
         write_header t ?on_header_write tail_hdr
@@ -98,7 +100,7 @@ let alloc t ?on_header_write n =
         t.free_list <- tail_hdr :: rest
       end
       else begin
-        emit t (Alloc { addr = hdr + header_size; size });
+        if observed t then emit t (Alloc { addr = hdr + header_size; size });
         write_header t ?on_header_write hdr ~size ~used:true;
         t.free_list <- rest
       end;
@@ -111,7 +113,7 @@ let free t ?on_header_write payload =
   if hdr < t.base || hdr >= t.limit then invalid_arg "Alloc.free: bad address";
   let size, used = read_header t hdr in
   if not used then invalid_arg "Alloc.free: double free";
-  emit t (Free { addr = payload; size });
+  if observed t then emit t (Free { addr = payload; size });
   (* Coalesce with a free right neighbour so long churn does not
      fragment the region unboundedly. *)
   let next = next_block t hdr size in

@@ -13,7 +13,7 @@ let attach bus =
   let m_truncates = c "nvheap.log.truncates" in
   let m_commits = c "nvheap.txn.commits" in
   let m_aborts = c "nvheap.txn.aborts" in
-  Wsp_events.Bus.subscribe bus (fun (ev : Event.t) ->
+  Wsp_events.Bus.subscribe ~sparse:true bus (fun (ev : Event.t) ->
       match ev with
       | Event.Mem Event.Fence -> C.incr m_fences
       | Event.Log (Event.Append { n_values; _ }) ->

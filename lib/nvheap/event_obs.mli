@@ -7,7 +7,10 @@
     and [--jobs N] metrics exports stay byte-identical, exactly as the
     inline counters did. When disabled (the default), nothing is
     attached and an unobserved NVRAM pays only the bus's zero-subscriber
-    branch per event.
+    branch per event. The subscriber is sparse
+    ([Wsp_events.Bus.subscribe ~sparse:true]): it counts no per-word
+    event, so an NVRAM watched only by the bridge still builds no
+    [Store], [Store_nt] or [Wb] events.
 
     Counters maintained: [nvheap.fences], [nvheap.log.appends],
     [nvheap.log.append_words], [nvheap.log.truncates],

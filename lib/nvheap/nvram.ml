@@ -29,37 +29,125 @@ type tap = {
   on_nt : addr:int -> v:int64 -> unit;
       (* An 8-byte non-temporal store was queued. *)
   on_wb : line:int -> data:Bytes.t -> unit;
-      (* [line]'s overlay buffer [data] is being written back to
-         backing and dropped from the overlay. Ownership of [data]
-         transfers to the tap: the overlay never reuses a removed
-         buffer. *)
+      (* [line]'s overlay contents [data] are being written back to
+         backing and dropped from the overlay. [data] is a fresh copy
+         owned by the tap. *)
   on_drain : unit -> unit;
       (* The write-combining queue was flushed to backing. *)
 }
 
+(* The memory model. [image] is the volatile view: every byte as running
+   software reads it, dirty cache lines included. What a power failure
+   would leave — the persistent view — differs from it only on lines a
+   cached store has dirtied since their last write-back, and for each
+   such line [pre] holds its persistent bytes (the crash pre-image),
+   saved just before the line's first cached store. So:
+
+   - a cached store saves the line's pre-image if it has none, then
+     writes the image;
+   - a hierarchy write-back drops the pre-image (the image already holds
+     the bytes that reach NVRAM);
+   - a drained non-temporal store is persistent at once: it lands in the
+     pre-image when the line has one (software keeps reading the cached
+     line, which hides it), and in the image otherwise;
+   - a crash copies every pre-image back into the image.
+
+   Pre-images live in slots [0, pre_n) of one growable buffer, kept
+   dense by moving the last slot into a freed one; [slot_of_line] maps a
+   line to its slot (-1 = none). The undrained non-temporal stores are
+   parallel growable arrays. Nothing on the access path hashes or
+   allocates unless a tap or a subscriber is attached. *)
 type t = {
-  backing : Bytes.t;  (* Persistent contents: survives crash. *)
-  dirty : (int, Bytes.t) Hashtbl.t;  (* line number -> volatile line copy *)
-  wc_pending : (int * int64) Queue.t;  (* undrained non-temporal stores *)
-  hierarchy : Hierarchy.t;
+  image : Bytes.t;
   line_size : int;
+  slot_of_line : int array;
+  mutable pre : Bytes.t;  (* slot k at [k * line_size] *)
+  mutable pre_line : int array;  (* slot -> line *)
+  mutable pre_n : int;
+  mutable nt_addr : int array;  (* undrained NT stores, oldest first *)
+  mutable nt_val : Bytes.t;  (* entry i's value at [8 * i] *)
+  mutable nt_n : int;
+  scratch : Bytes.t;  (* source of [write_u8] and of a word that straddles two lines *)
+  hierarchy : Hierarchy.t;
   mutable clock : Time.t;
   bus : Event.t Bus.t;
   mutable fault : fault;
   mutable steps_left : int;
       (* Remaining budgeted accesses; -1 = unlimited (the default). *)
-  tap : tap option ref;
-      (* A ref, not a mutable field: the hierarchy's write-back closure
-         is built before this record exists and shares the cell. *)
+  mutable tap : tap option;
 }
 
 let default_hierarchy () =
   Wsp_machine.Platform.core_hierarchy Wsp_machine.Platform.intel_c5528
 
+(* --- pre-images ------------------------------------------------------- *)
+
+let grow_pre t =
+  let cap = 2 * Array.length t.pre_line in
+  let pre = Bytes.create (cap * t.line_size) in
+  Bytes.blit t.pre 0 pre 0 (t.pre_n * t.line_size);
+  let pre_line = Array.make cap (-1) in
+  Array.blit t.pre_line 0 pre_line 0 t.pre_n;
+  t.pre <- pre;
+  t.pre_line <- pre_line
+
+(* Called before a cached store lands in [line]. *)
+let save_pre t line =
+  if t.slot_of_line.(line) < 0 then begin
+    if t.pre_n = Array.length t.pre_line then grow_pre t;
+    let k = t.pre_n in
+    Bytes.blit t.image (line * t.line_size) t.pre (k * t.line_size) t.line_size;
+    t.pre_line.(k) <- line;
+    t.slot_of_line.(line) <- k;
+    t.pre_n <- k + 1
+  end
+
+let drop_slot t k =
+  let last = t.pre_n - 1 in
+  t.slot_of_line.(t.pre_line.(k)) <- -1;
+  if k <> last then begin
+    let moved = t.pre_line.(last) in
+    Bytes.blit t.pre (last * t.line_size) t.pre (k * t.line_size) t.line_size;
+    t.pre_line.(k) <- moved;
+    t.slot_of_line.(moved) <- k
+  end;
+  t.pre_n <- last
+
+(* Writes [len] bytes of [src] at [src_off] to the persistent view at
+   [addr]: each byte goes to its line's pre-image if it has one, else
+   to the image. *)
+let persist t ~addr src ~src_off ~len =
+  let ls = t.line_size in
+  let a = ref addr and stop = addr + len in
+  while !a < stop do
+    let line = !a / ls in
+    let n = min stop ((line + 1) * ls) - !a in
+    let k = t.slot_of_line.(line) in
+    if k < 0 then Bytes.blit src (src_off + !a - addr) t.image !a n
+    else Bytes.blit src (src_off + !a - addr) t.pre ((k * ls) + (!a mod ls)) n;
+    a := !a + n
+  done
+
+(* Copies [len] persistent bytes at [addr] into [dst]. *)
+let blit_persistent t ~addr ~len dst ~dst_off =
+  Bytes.blit t.image addr dst dst_off len;
+  if t.pre_n > 0 && len > 0 then begin
+    let ls = t.line_size in
+    for line = addr / ls to (addr + len - 1) / ls do
+      let k = t.slot_of_line.(line) in
+      if k >= 0 then begin
+        let lo = max addr (line * ls) and hi = min (addr + len) ((line + 1) * ls) in
+        Bytes.blit t.pre ((k * ls) + (lo mod ls)) dst (dst_off + lo - addr) (hi - lo)
+      end
+    done
+  end
+
+(* --- construction ----------------------------------------------------- *)
+
 let create ?hierarchy ?backing ~size () =
   let cfg = match hierarchy with Some h -> h | None -> default_hierarchy () in
   let line_size = Hierarchy.config_line_size cfg in
-  let backing =
+  let image =
     match backing with
     | None -> Bytes.make (Units.Size.to_bytes size) '\x00'
     | Some b ->
@@ -67,36 +155,52 @@ let create ?hierarchy ?backing ~size () =
           invalid_arg "Nvram.create: backing smaller than size";
         b
   in
-  let dirty = Hashtbl.create 1024 in
   let bus = Bus.create () in
-  let tap = ref None in
-  (* The hierarchy's write-back wiring both moves the dirty bytes to
-     backing and surfaces the machine-level fact on the unified bus:
-     silent capacity evictions and explicit flushes arrive as the same
-     [Wb] event, distinguished only by [explicit]. *)
+  (* The write-back closure is built before the record it updates. *)
+  let self = ref None in
+  (* The hierarchy's write-back wiring both settles the line's bytes and
+     surfaces the machine-level fact on the unified bus: silent capacity
+     evictions and explicit flushes arrive as the same [Wb] event,
+     distinguished only by [explicit]. *)
   let on_writeback ~line ~explicit =
-    Bus.publish bus (Event.Wb { line; explicit });
-    match Hashtbl.find_opt dirty line with
+    if Bus.dense bus then Bus.publish bus (Event.Wb { line; explicit });
+    match !self with
     | None -> ()
-    | Some data ->
-        (match !tap with Some tp -> tp.on_wb ~line ~data | None -> ());
-        Bytes.blit data 0 backing (line * line_size) line_size;
-        Hashtbl.remove dirty line
+    | Some t ->
+        let k = t.slot_of_line.(line) in
+        if k >= 0 then begin
+          (match t.tap with
+          | Some tp ->
+              tp.on_wb ~line ~data:(Bytes.sub t.image (line * line_size) line_size)
+          | None -> ());
+          drop_slot t k
+        end
   in
   let h = Hierarchy.create ~on_writeback cfg in
   if Event_obs.enabled () then ignore (Event_obs.attach bus);
-  {
-    backing;
-    dirty;
-    wc_pending = Queue.create ();
-    hierarchy = h;
-    line_size;
-    clock = Time.zero;
-    bus;
-    fault = No_fault;
-    steps_left = -1;
-    tap;
-  }
+  let slots = 64 in
+  let t =
+    {
+      image;
+      line_size;
+      slot_of_line = Array.make ((Bytes.length image + line_size - 1) / line_size) (-1);
+      pre = Bytes.create (slots * line_size);
+      pre_line = Array.make slots (-1);
+      pre_n = 0;
+      nt_addr = Array.make 16 0;
+      nt_val = Bytes.create (16 * 8);
+      nt_n = 0;
+      scratch = Bytes.create 8;
+      hierarchy = h;
+      clock = Time.zero;
+      bus;
+      fault = No_fault;
+      steps_left = -1;
+      tap = None;
+    }
+  in
+  self := Some t;
+  t
 
 let bus t = t.bus
 let set_fault t fault = t.fault <- fault
@@ -118,17 +222,22 @@ let spend_step t =
   end
 
 let set_tap t tp =
-  (match (tp, !(t.tap)) with
+  (match (tp, t.tap) with
   | Some _, Some _ -> invalid_arg "Nvram.set_tap: a tap is already attached"
   | _ -> ());
-  t.tap := tp
+  t.tap <- tp
 
 (* Published before the primitive mutates anything, so a subscriber that
    raises models a power failure between the preceding store and this
-   one. *)
+   one. Callers build the event only under [Bus.active] (or
+   [Bus.dense] for the per-word [Store]/[Store_nt]). *)
 let emit t ev = Bus.publish t.bus (Event.Mem ev)
 
-let size t = Bytes.length t.backing
+(* Payload-free events, preallocated. *)
+let ev_fence = Event.Mem Fence
+let ev_wbinvd = Event.Mem Wbinvd
+
+let size t = Bytes.length t.image
 let line_size t = t.line_size
 let hierarchy t = t.hierarchy
 let clock t = t.clock
@@ -136,201 +245,228 @@ let reset_clock t = t.clock <- Time.zero
 let charge t span = t.clock <- Time.add t.clock span
 
 let check_range t addr len =
-  if addr < 0 || len < 0 || addr + len > Bytes.length t.backing then
+  if addr < 0 || len < 0 || addr + len > Bytes.length t.image then
     invalid_arg (Fmt.str "Nvram: address range [%d,%d) out of bounds" addr (addr + len))
 
-(* The volatile copy of [line], creating it from backing on first write. *)
-let dirty_line t line =
-  match Hashtbl.find_opt t.dirty line with
-  | Some data -> data
-  | None ->
-      let data = Bytes.create t.line_size in
-      Bytes.blit t.backing (line * t.line_size) data 0 t.line_size;
-      Hashtbl.add t.dirty line data;
-      data
+(* --- cached accesses -------------------------------------------------- *)
 
-let read_byte_raw t addr =
-  let line = addr / t.line_size in
-  match Hashtbl.find_opt t.dirty line with
-  | Some data -> Bytes.get data (addr mod t.line_size)
-  | None -> Bytes.get t.backing addr
-
-(* Charges one hierarchy access per line the range touches. *)
-let charge_access t ~addr ~len ~write =
+(* Charges one hierarchy load per line the range touches. *)
+let charge_load t ~addr ~len =
   spend_step t;
-  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
-  for line = first to last do
-    let latency =
-      if write then Hierarchy.store t.hierarchy ~addr:(line * t.line_size)
-      else Hierarchy.load t.hierarchy ~addr:(line * t.line_size)
-    in
-    charge t latency
+  let ls = t.line_size in
+  for line = addr / ls to (addr + len - 1) / ls do
+    charge t (Hierarchy.load t.hierarchy ~addr:(line * ls))
   done
 
 (* Writes a byte range, interleaving the hierarchy access and the data
-   write per line: charging first for the whole range could evict a
-   just-dirtied line of the same range before its buffer exists, losing
-   the write and desynchronising the dirty table from the hierarchy. *)
+   write per line: a later line's hierarchy charge can evict an earlier
+   line of this same store, and its write-back must find that line's
+   bytes already in the image. The tap fires per line, after that
+   line's bytes land, so it sees the slice before its write-back. *)
 let write_range t ~addr src ~src_off ~len =
   spend_step t;
-  emit t (Store { addr; len });
-  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
-  for line = first to last do
-    charge t (Hierarchy.store t.hierarchy ~addr:(line * t.line_size));
-    let line_start = max addr (line * t.line_size) in
-    let line_end = min (addr + len) ((line + 1) * t.line_size) in
-    let data = dirty_line t line in
-    for byte = line_start to line_end - 1 do
-      Bytes.set data (byte mod t.line_size)
-        (Bytes.get src (src_off + byte - addr))
-    done;
-    (* Fired per line, after that line's bytes land: a later line's
-       hierarchy charge can evict an earlier line of this same store,
-       and the tap must see the slice before its write-back. *)
-    match !(t.tap) with
+  if Bus.dense t.bus then emit t (Store { addr; len });
+  let ls = t.line_size in
+  for line = addr / ls to (addr + len - 1) / ls do
+    charge t (Hierarchy.store t.hierarchy ~addr:(line * ls));
+    save_pre t line;
+    let lo = max addr (line * ls) and hi = min (addr + len) ((line + 1) * ls) in
+    Bytes.blit src (src_off + lo - addr) t.image lo (hi - lo);
+    match t.tap with
     | Some tp ->
-        tp.on_slice ~addr:line_start
-          ~data:(Bytes.sub src (src_off + line_start - addr) (line_end - line_start))
+        tp.on_slice ~addr:lo ~data:(Bytes.sub src (src_off + lo - addr) (hi - lo))
     | None -> ()
   done
 
 let read_u64 t ~addr =
   check_range t addr 8;
-  charge_access t ~addr ~len:8 ~write:false;
-  let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (read_byte_raw t (addr + i))
-  done;
-  Bytes.get_int64_le b 0
+  charge_load t ~addr ~len:8;
+  Bytes.get_int64_le t.image addr
 
+(* The common single-line word takes [write_range]'s steps inline, with
+   no source buffer. *)
 let write_u64 t ~addr v =
   check_range t addr 8;
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write_range t ~addr b ~src_off:0 ~len:8
+  let ls = t.line_size in
+  let line = addr / ls in
+  if (addr + 7) / ls <> line then begin
+    Bytes.set_int64_le t.scratch 0 v;
+    write_range t ~addr t.scratch ~src_off:0 ~len:8
+  end
+  else begin
+    spend_step t;
+    if Bus.dense t.bus then emit t (Store { addr; len = 8 });
+    charge t (Hierarchy.store t.hierarchy ~addr:(line * ls));
+    save_pre t line;
+    Bytes.set_int64_le t.image addr v;
+    match t.tap with
+    | Some tp -> tp.on_slice ~addr ~data:(Bytes.sub t.image addr 8)
+    | None -> ()
+  end
 
 let read_u8 t ~addr =
   check_range t addr 1;
-  charge_access t ~addr ~len:1 ~write:false;
-  Char.code (read_byte_raw t addr)
+  charge_load t ~addr ~len:1;
+  Char.code (Bytes.get t.image addr)
 
 let write_u8 t ~addr v =
   check_range t addr 1;
-  write_range t ~addr (Bytes.make 1 (Char.chr (v land 0xff))) ~src_off:0 ~len:1
+  Bytes.set t.scratch 0 (Char.chr (v land 0xff));
+  write_range t ~addr t.scratch ~src_off:0 ~len:1
 
 let read_bytes t ~addr ~len =
   check_range t addr len;
-  if len > 0 then charge_access t ~addr ~len ~write:false;
-  Bytes.init len (fun i -> read_byte_raw t (addr + i))
+  if len > 0 then charge_load t ~addr ~len;
+  Bytes.sub t.image addr len
 
 let write_bytes t ~addr src =
   let len = Bytes.length src in
   check_range t addr len;
   if len > 0 then write_range t ~addr src ~src_off:0 ~len
 
+(* --- non-temporal path ------------------------------------------------ *)
+
 let write_u64_nt t ~addr v =
   check_range t addr 8;
-  emit t (Store_nt { addr });
+  if Bus.dense t.bus then emit t (Store_nt { addr });
   charge t (Hierarchy.store_nt t.hierarchy ~addr);
-  Queue.add (addr, v) t.wc_pending;
-  match !(t.tap) with Some tp -> tp.on_nt ~addr ~v | None -> ()
+  let i = t.nt_n in
+  if i = Array.length t.nt_addr then begin
+    let addrs = Array.make (2 * i) 0 and vals = Bytes.create (16 * i) in
+    Array.blit t.nt_addr 0 addrs 0 i;
+    Bytes.blit t.nt_val 0 vals 0 (8 * i);
+    t.nt_addr <- addrs;
+    t.nt_val <- vals
+  end;
+  t.nt_addr.(i) <- addr;
+  Bytes.set_int64_le t.nt_val (8 * i) v;
+  t.nt_n <- i + 1;
+  match t.tap with Some tp -> tp.on_nt ~addr ~v | None -> ()
+
+(* Drains the write-combining queue into the persistent view, oldest
+   first. *)
+let drain t =
+  for i = 0 to t.nt_n - 1 do
+    persist t ~addr:t.nt_addr.(i) t.nt_val ~src_off:(8 * i) ~len:8
+  done;
+  t.nt_n <- 0;
+  match t.tap with Some tp -> tp.on_drain () | None -> ()
 
 let fence t =
-  emit t Fence;
+  Bus.publish t.bus ev_fence;
   charge t (Hierarchy.fence t.hierarchy);
   (* A broken fence charges its latency but never drains the
      write-combining buffers — the deliberate-sabotage mode the
      crash-consistency checker must detect. *)
-  if t.fault <> Broken_fence then begin
-    Queue.iter
-      (fun (addr, v) ->
-        let b = Bytes.create 8 in
-        Bytes.set_int64_le b 0 v;
-        Bytes.blit b 0 t.backing addr 8)
-      t.wc_pending;
-    Queue.clear t.wc_pending;
-    match !(t.tap) with Some tp -> tp.on_drain () | None -> ()
-  end
+  if t.fault <> Broken_fence then drain t
 
-let pending_nt_bytes t = 8 * Queue.length t.wc_pending
+let pending_nt_bytes t = 8 * t.nt_n
+
+(* --- flushes ---------------------------------------------------------- *)
 
 let clflush t ~addr =
   check_range t addr 1;
-  emit t (Clflush { addr });
+  if Bus.active t.bus then emit t (Clflush { addr });
   charge t (Hierarchy.clflush t.hierarchy ~addr)
 
 let flush_range t ~addr ~len =
   check_range t addr len;
-  emit t (Flush_range { addr; len });
+  if Bus.active t.bus then emit t (Flush_range { addr; len });
   charge t (Hierarchy.flush_lines t.hierarchy ~addr ~len)
 
 let wbinvd t =
-  emit t Wbinvd;
+  Bus.publish t.bus ev_wbinvd;
   charge t (Hierarchy.flush_all t.hierarchy);
   (* Flushing also drains write-combining buffers. *)
-  Queue.iter
-    (fun (addr, v) ->
-      let b = Bytes.create 8 in
-      Bytes.set_int64_le b 0 v;
-      Bytes.blit b 0 t.backing addr 8)
-    t.wc_pending;
-  Queue.clear t.wc_pending;
-  (match !(t.tap) with Some tp -> tp.on_drain () | None -> ());
-  assert (Hashtbl.length t.dirty = 0)
+  drain t;
+  assert (t.pre_n = 0)
+
+(* --- failure ---------------------------------------------------------- *)
 
 let crash t =
   Hierarchy.drop_volatile t.hierarchy;
-  Hashtbl.reset t.dirty;
-  Queue.clear t.wc_pending;
+  let ls = t.line_size in
+  for k = 0 to t.pre_n - 1 do
+    let line = t.pre_line.(k) in
+    Bytes.blit t.pre (k * ls) t.image (line * ls) ls;
+    t.slot_of_line.(line) <- -1
+  done;
+  t.pre_n <- 0;
+  t.nt_n <- 0;
   t.clock <- Time.zero
 
 let dirty_bytes t = Hierarchy.dirty_bytes t.hierarchy
 let dirty_lines t = Hierarchy.dirty_lines t.hierarchy
 let dirty_line_count t = Hierarchy.dirty_line_count t.hierarchy
-let persistent_image t = Bytes.copy t.backing
 
-let volatile_image t =
-  let img = Bytes.copy t.backing in
-  Hashtbl.iter
-    (fun line data -> Bytes.blit data 0 img (line * t.line_size) t.line_size)
-    t.dirty;
-  (* Write-combining data is newer than any cached line of the same
-     address (a non-temporal store flushes the line first). *)
-  Queue.iter (fun (addr, v) -> Bytes.set_int64_le img addr v) t.wc_pending;
+let persistent_image t =
+  let img = Bytes.copy t.image in
+  let ls = t.line_size in
+  for k = 0 to t.pre_n - 1 do
+    Bytes.blit t.pre (k * ls) img (t.pre_line.(k) * ls) ls
+  done;
   img
 
-let peek_u64 t ~addr = Bytes.get_int64_le t.backing addr
+let volatile_image t =
+  let img = Bytes.copy t.image in
+  (* Write-combining data is newer than any cached line of the same
+     address (a non-temporal store flushes the line first). *)
+  for i = 0 to t.nt_n - 1 do
+    Bytes.blit t.nt_val (8 * i) img t.nt_addr.(i) 8
+  done;
+  img
+
+let peek_u64 t ~addr =
+  let line = addr / t.line_size in
+  let k = t.slot_of_line.(line) in
+  if k < 0 && (addr + 7) / t.line_size = line then Bytes.get_int64_le t.image addr
+  else begin
+    let b = Bytes.create 8 in
+    blit_persistent t ~addr ~len:8 b ~dst_off:0;
+    Bytes.get_int64_le b 0
+  end
 
 (* Raw-state accessors for the waypoint snapshots of the incremental
    checker: they read the three state components the tap's op log
    replays over, without charging time or publishing events. *)
 
 let overlay_lines t =
-  Hashtbl.fold (fun line data acc -> (line, Bytes.copy data) :: acc) t.dirty []
+  let ls = t.line_size in
+  List.init t.pre_n (fun k ->
+      let line = t.pre_line.(k) in
+      (line, Bytes.sub t.image (line * ls) ls))
 
-let pending_nt t = List.rev (Queue.fold (fun acc e -> e :: acc) [] t.wc_pending)
+let pending_nt t =
+  List.init t.nt_n (fun i -> (t.nt_addr.(i), Bytes.get_int64_le t.nt_val (8 * i)))
 
 let blit_backing t ~addr ~len dst ~dst_off =
   check_range t addr len;
-  Bytes.blit t.backing addr dst dst_off len
+  blit_persistent t ~addr ~len dst ~dst_off
 
 let load_backing t ~addr src =
   let len = Bytes.length src in
   check_range t addr len;
-  Bytes.blit src 0 t.backing addr len;
-  (* Any cached state overlapping the range is now stale and must not
-     be written back over the freshly loaded bytes. *)
-  let first = addr / t.line_size and last = (addr + len - 1) / t.line_size in
-  for line = first to last do
-    Hashtbl.remove t.dirty line
+  (* Cached state overlapping the range is now stale and must not be
+     written back over the freshly loaded bytes: each overlapping line
+     falls back to its persistent bytes, then takes the loaded ones. *)
+  if len > 0 then begin
+    let ls = t.line_size in
+    for line = addr / ls to (addr + len - 1) / ls do
+      let k = t.slot_of_line.(line) in
+      if k >= 0 then begin
+        Bytes.blit t.pre (k * ls) t.image (line * ls) ls;
+        drop_slot t k
+      end
+    done
+  end;
+  Bytes.blit src 0 t.image addr len;
+  let kept = ref 0 in
+  for i = 0 to t.nt_n - 1 do
+    let a = t.nt_addr.(i) in
+    if a < addr || a >= addr + len then begin
+      t.nt_addr.(!kept) <- a;
+      Bytes.blit t.nt_val (8 * i) t.nt_val (8 * !kept) 8;
+      incr kept
+    end
   done;
-  if not (Queue.is_empty t.wc_pending) then begin
-    let keep =
-      Queue.fold
-        (fun acc (a, v) ->
-          if a >= addr && a < addr + len then acc else (a, v) :: acc)
-        [] t.wc_pending
-    in
-    Queue.clear t.wc_pending;
-    List.iter (fun e -> Queue.add e t.wc_pending) (List.rev keep)
-  end
+  t.nt_n <- !kept

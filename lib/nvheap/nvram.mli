@@ -1,12 +1,35 @@
 (** Byte-addressable simulated NVRAM behind a write-back cache hierarchy.
 
     This is the mechanism that makes crash experiments honest: ordinary
-    stores update a volatile dirty-line buffer and only reach the
-    persistent backing bytes on cache eviction, [clflush], [wbinvd], or a
-    drained non-temporal store. {!crash} discards the dirty buffer and any
-    undrained write-combining data — afterwards readers see exactly what
-    had actually reached NVRAM, which is what recovery code must cope
-    with.
+    stores dirty cache lines and only reach the persistent bytes on
+    cache eviction, [clflush], [wbinvd], or a drained non-temporal
+    store. {!crash} discards dirty lines and any undrained
+    write-combining data — afterwards readers see exactly what had
+    actually reached NVRAM, which is what recovery code must cope with.
+
+    {b Memory model.} The NVRAM keeps one flat image: the volatile view,
+    every byte as running software reads it. Before a line's first
+    cached store it saves that line's persistent bytes, the line's
+    {e crash pre-image}. A hierarchy write-back drops the pre-image (the
+    image already holds the bytes that reach NVRAM); {!crash} copies
+    every pre-image back into the image. A drained non-temporal store
+    is persistent at once: it goes into the line's pre-image when the
+    line has one — software keeps reading the cached line, which hides
+    it until the line is written back or lost — and into the image
+    otherwise. Undrained non-temporal stores are invisible to reads. So
+    the persistent view is the image with the pre-images patched in,
+    and there is no second full-size buffer. A word access is a bounds
+    check, one hierarchy call and one load or store on the image; it
+    hashes nothing and allocates nothing beyond a read's boxed [int64]
+    unless a tap or a dense bus subscriber is attached.
+
+    {b Aliasing an NVDIMM.} With [~backing], the image {e is} the given
+    buffer, so the buffer holds the volatile view: it equals the
+    persistent bytes exactly when no line has a pre-image, i.e. when no
+    cached store is outstanding. [Wsp_core.System] aliases its NVDIMM's
+    DRAM this way, and every NVDIMM save reads it in that state: the
+    host save runs after {!wbinvd}, and a power failure calls {!crash}
+    before the emergency save.
 
     Every operation charges simulated time to the NVRAM's clock, giving
     the performance side of the evaluation. Addresses are byte offsets in
@@ -23,10 +46,10 @@ val create :
   unit ->
   t
 (** The default hierarchy is one hardware thread of the paper's Intel
-    C5528 testbed. When [backing] is given it becomes the persistent
-    store (it must be at least [size] bytes) — this is how a machine
-    aliases its NVRAM onto an NVDIMM's DRAM, so that an NVDIMM save
-    persists exactly what cache write-backs and flushes have reached. *)
+    C5528 testbed. When [backing] is given it becomes the image (it must
+    be at least [size] bytes, and {!size} is its full length) — this is
+    how a machine aliases its NVRAM onto an NVDIMM's DRAM; see the
+    aliasing invariant above. *)
 
 val size : t -> int
 val line_size : t -> int
@@ -98,7 +121,11 @@ val bus : t -> Event.t Wsp_events.Bus.t
     annotations here too, and hierarchy write-backs arrive as [Wb]
     events. Any number of observers may subscribe concurrently; a
     subscriber's exception aborts the announced primitive with no state
-    change. With no subscriber, every publish is a single branch. *)
+    change. Every emitter builds its event only when the bus is
+    {!Wsp_events.Bus.active}, and the per-word [Store], [Store_nt] and
+    [Wb] events only when it is {!Wsp_events.Bus.dense}: an unobserved
+    primitive, or one watched only by sparse subscribers such as the
+    metrics bridge, pays a branch and allocates nothing. *)
 
 (** {1 Fault injection} *)
 
@@ -145,18 +172,19 @@ val dirty_line_count : t -> int
     {!dirty_bytes} — save-path and protocol loops poll this per step. *)
 
 val persistent_image : t -> Bytes.t
-(** A copy of the backing bytes only — what would survive a crash right
-    now. Test instrumentation; charges no time. *)
-
-val volatile_image : t -> Bytes.t
-(** The full logical contents as running software sees them: backing
-    overlaid with dirty cache lines and undrained write-combining data —
-    exactly what a flush-on-fail save must make persistent. Test/checker
+(** A copy of the persistent bytes only — the image with every crash
+    pre-image patched in: what would survive a crash right now. Test
     instrumentation; charges no time. *)
 
+val volatile_image : t -> Bytes.t
+(** The full logical contents as running software sees them: the image
+    (persistent bytes overlaid with dirty cache lines) plus undrained
+    write-combining data — exactly what a flush-on-fail save must make
+    persistent. Test/checker instrumentation; charges no time. *)
+
 val peek_u64 : t -> addr:int -> int64
-(** Reads the {e backing store} directly, ignoring cached dirty data.
-    Test instrumentation; charges no time. *)
+(** Reads the persistent bytes directly, ignoring cached dirty data.
+    Test and recovery instrumentation; charges no time. *)
 
 (** {1 The replay tap}
 
@@ -165,8 +193,12 @@ val peek_u64 : t -> addr:int -> int64
     crash-point checker. The event bus cannot serve this purpose: events
     are published {e before} the primitive mutates anything and carry no
     payload, whereas replaying a crash prefix needs the bytes and the
-    exact moment they land. At most one tap may be attached; with none,
-    each mutation pays a single branch. *)
+    exact moment they land. The tap reports the state as three
+    components — persistent backing bytes, a dirty-overlay of whole
+    lines, and the write-combining queue — which is how the checker's
+    {!Wsp_check.Replay} rebuilds it; the overlay lines are the lines
+    that hold a crash pre-image. At most one tap may be attached; with
+    none, each mutation pays a single branch. *)
 
 type tap = {
   on_slice : addr:int -> data:Bytes.t -> unit;
@@ -178,9 +210,9 @@ type tap = {
       (** An 8-byte non-temporal store was appended to the
           write-combining queue. *)
   on_wb : line:int -> data:Bytes.t -> unit;
-      (** [line]'s dirty-overlay buffer is being written back to backing
-          and dropped from the overlay. Ownership of [data] transfers to
-          the callback — the overlay never mutates a removed buffer. *)
+      (** [line]'s dirty-overlay contents are being written back to
+          backing and dropped from the overlay. [data] is a fresh copy
+          owned by the callback. *)
   on_drain : unit -> unit;
       (** The write-combining queue was flushed to backing (a drained
           {!fence} or {!wbinvd}). *)
@@ -196,18 +228,19 @@ val set_tap : t -> tap option -> unit
     waypoint snapshots. *)
 
 val overlay_lines : t -> (int * Bytes.t) list
-(** Copies of the dirty-overlay buffers, as [(line, data)] pairs in
-    unspecified order. *)
+(** Copies of the image's lines that hold a crash pre-image (the dirty
+    overlay), as [(line, data)] pairs in unspecified order. *)
 
 val pending_nt : t -> (int * int64) list
 (** The write-combining queue, oldest first. *)
 
 val blit_backing : t -> addr:int -> len:int -> Bytes.t -> dst_off:int -> unit
-(** Copies [len] backing bytes at [addr] into [dst]. *)
+(** Copies [len] persistent bytes at [addr] into [dst]. *)
 
 val load_backing : t -> addr:int -> Bytes.t -> unit
-(** Writes [src] directly into the persistent backing at [addr] — a
+(** Writes [src] directly into the persistent bytes at [addr] — a
     DMA-style load, as when a shipped heap image is adopted by a node.
-    Cached state overlapping the range (dirty-overlay lines, pending
-    non-temporal stores) is invalidated, not written back. Charges no
-    time and publishes no events. *)
+    Cached state overlapping the range (whole dirty-overlay lines,
+    pending non-temporal stores) is invalidated, not written back: an
+    overlapping line's bytes outside the range revert to their
+    persistent contents. Charges no time and publishes no events. *)

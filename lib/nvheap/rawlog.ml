@@ -12,6 +12,8 @@ type t = {
   mutable head : int;  (* next free word index; word 0 is the gen word *)
 }
 
+(* Events are built only when someone listens. *)
+let observed t = Wsp_events.Bus.active (Nvram.bus t.nvram)
 let emit t ev = Wsp_events.Bus.publish (Nvram.bus t.nvram) (Event.Log ev)
 
 (* Word encoding: (chunk : 32 bits) << 16 | generation : 16 bits.
@@ -71,7 +73,7 @@ let append t ~mode ~kind values =
   let n = Array.length values in
   let needed = record_words n in
   if t.head + needed > t.words then raise Log_full;
-  emit t (Append { kind; n_values = n });
+  if observed t then emit t (Append { kind; n_values = n });
   write_word t ~mode t.head (encode_word ~gen:t.gen (header_chunk ~kind ~n));
   Array.iteri
     (fun i v ->
@@ -84,7 +86,7 @@ let append t ~mode ~kind values =
   t.head <- t.head + needed
 
 let truncate t ~mode =
-  emit t Truncate;
+  if observed t then emit t Truncate;
   t.gen <- (t.gen + 1) land 0xffff;
   if t.gen = 0 then t.gen <- 1;
   t.head <- 1;

@@ -42,6 +42,9 @@ type t = {
   m_aborts : Wsp_obs.Metrics.Counter.t;
 }
 
+(* Events — and the sorted write sets [Commit] carries — are built only
+   when someone listens. *)
+let observed t = Wsp_events.Bus.active (Nvram.bus t.nvram)
 let emit t ev = Wsp_events.Bus.publish (Nvram.bus t.nvram) (Event.Tx ev)
 
 (* The msync backend keeps no per-access log but still needs the full
@@ -116,7 +119,7 @@ let begin_tx t =
   else begin
     Nvram.charge t.nvram t.costs.Config.Costs.tx_begin;
     let txid = t.next_txid in
-    emit t (Begin txid);
+    if observed t then emit t (Begin txid);
     t.next_txid <- Int64.add txid 1L;
     let tx = t.scratch in
     Hashtbl.clear tx.write_set;
@@ -248,7 +251,7 @@ let commit_msync t =
         Hashtbl.replace tx.written_lines (line_base t addr) ())
     tx.write_order;
   let lines = undo_commit_lines tx in
-  emit t (Commit { txid = tx.txid; written_lines = lines });
+  if observed t then emit t (Commit { txid = tx.txid; written_lines = lines });
   Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
   if lines <> [] then begin
     ensure_began t tx;
@@ -296,7 +299,8 @@ let commit t =
         Wsp_obs.Metrics.Counter.incr t.m_commits
     | Config.Undo ->
         let tx = active t in
-        emit t (Commit { txid = tx.txid; written_lines = undo_commit_lines tx });
+        if observed t then
+          emit t (Commit { txid = tx.txid; written_lines = undo_commit_lines tx });
         Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
         if tx.began_in_log then begin
           (* Undo protocol: written data must be durable before the undo
@@ -310,7 +314,8 @@ let commit t =
         t.committed <- t.committed + 1
     | Config.Redo ->
         let tx = active t in
-        emit t (Commit { txid = tx.txid; written_lines = redo_commit_lines t tx });
+        if observed t then
+          emit t (Commit { txid = tx.txid; written_lines = redo_commit_lines t tx });
         Nvram.charge t.nvram t.costs.Config.Costs.tx_commit_base;
         Nvram.charge t.nvram
           (Time.mul t.costs.Config.Costs.stm_validate tx.read_set);
@@ -353,7 +358,7 @@ let commit t =
 let abort t =
   if msync t then begin
     let tx = active t in
-    emit t (Abort tx.txid);
+    if observed t then emit t (Abort tx.txid);
     (* Buffered writes are simply discarded; in-place header writes are
        rolled back, newest first. *)
     List.iter (fun (addr, old) -> Nvram.write_u64 t.nvram ~addr old) tx.undo_order;
@@ -368,7 +373,7 @@ let abort t =
         Wsp_obs.Metrics.Counter.incr t.m_aborts
     | Config.Undo ->
         let tx = active t in
-        emit t (Abort tx.txid);
+        if observed t then emit t (Abort tx.txid);
         (* Roll back, newest write first. *)
         List.iter (fun (addr, old) -> Nvram.write_u64 t.nvram ~addr old) tx.undo_order;
         if tx.began_in_log then Rawlog.truncate t.log ~mode:(log_mode t);
@@ -376,7 +381,7 @@ let abort t =
         t.aborted <- t.aborted + 1
     | Config.Redo ->
         let tx = active t in
-        emit t (Abort tx.txid);
+        if observed t then emit t (Abort tx.txid);
         t.active <- None;
         t.aborted <- t.aborted + 1
 

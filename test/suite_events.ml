@@ -61,6 +61,20 @@ let bus_tests =
            with Boom -> true);
         (* The crash-injection contract: nothing after the raise runs. *)
         Alcotest.(check int) "later subscriber skipped" 0 !later);
+    Alcotest.test_case "only non-sparse subscribers make a bus dense" `Quick
+      (fun () ->
+        let b = Bus.create () in
+        Alcotest.(check (pair bool bool)) "empty" (false, false) (Bus.active b, Bus.dense b);
+        let sparse = Bus.subscribe ~sparse:true b (fun () -> ()) in
+        Alcotest.(check (pair bool bool)) "sparse only" (true, false)
+          (Bus.active b, Bus.dense b);
+        let full = Bus.subscribe b (fun () -> ()) in
+        Alcotest.(check bool) "dense" true (Bus.dense b);
+        Bus.unsubscribe full;
+        Bus.unsubscribe full;
+        Alcotest.(check bool) "sparse again" false (Bus.dense b);
+        Bus.unsubscribe sparse;
+        Alcotest.(check bool) "inactive" false (Bus.active b));
     Alcotest.test_case "with_subscriber scopes over exceptions" `Quick
       (fun () ->
         let b = Bus.create () in
@@ -181,11 +195,84 @@ let observer_tests =
           (List.exists (fun (_, v) -> v > 0) j1));
   ]
 
-(* --- streaming ≡ recorded -------------------------------------------------- *)
-
 let lint_json ?live ?fault ?jobs ~txns ~seed workloads =
   Analyzer.to_json ~expect:[]
     (Analyzer.lint ?jobs ?live ?fault ~txns ~seed ~workloads ())
+
+(* Emitters build events only for listeners, so attaching observers must
+   change nothing the simulation computes: images, clock and the metrics
+   JSON of a transactional workload under every configuration, with the
+   metrics bridge (a sparse observer) attached alone and then joined by
+   three dense no-op observers; and checker and lint JSON with no extra
+   observer and with the bridge and tracer on every heap. *)
+let observed_run ~extra config =
+  Metrics.reset_all ();
+  Event_obs.set_enabled true;
+  let heap =
+    Pheap.create ~config ~size:(Units.Size.kib 256) ~log_size:(Units.Size.kib 64) ()
+  in
+  Event_obs.set_enabled false;
+  for _ = 1 to extra do
+    ignore (Bus.subscribe (Pheap.bus heap) (fun _ -> ()))
+  done;
+  let rng = Rng.create ~seed:7 in
+  let blocks = Array.init 8 (fun _ -> Pheap.alloc heap 64) in
+  let writes i =
+    for _ = 1 to 3 do
+      let addr = blocks.(Rng.int rng 8) + (8 * Rng.int rng 8) in
+      Pheap.write_u64 heap ~addr (Int64.of_int i)
+    done
+  in
+  for i = 1 to 60 do
+    if i mod 7 = 0 then begin
+      Pheap.begin_tx heap;
+      writes i;
+      Pheap.abort heap
+    end
+    else Pheap.with_tx heap (fun () -> writes i)
+  done;
+  let nv = Pheap.nvram heap in
+  let before = (Nvram.volatile_image nv, Nvram.persistent_image nv, Nvram.clock nv) in
+  let metrics = Metrics.to_json (Metrics.ambient ()) in
+  Nvram.crash nv;
+  (before, Nvram.persistent_image nv, metrics)
+
+let observer_identity_tests =
+  [
+    Alcotest.test_case "observers leave images, clock and metrics unchanged"
+      `Quick (fun () ->
+        List.iter
+          (fun config ->
+            Alcotest.(check bool)
+              (config.Config.name ^ ": bridge alone = bridge + 3 observers")
+              true
+              (observed_run ~extra:0 config = observed_run ~extra:3 config))
+          Config.all_backends;
+        Metrics.reset_all ());
+    Alcotest.test_case "checker and lint JSON unchanged by observers" `Slow
+      (fun () ->
+        let check () =
+          Checker.reports_to_json
+            (List.map
+               (fun config ->
+                 Checker.check ~jobs:1 ~points:40 ~txns:6 ~shrink:false
+                   ~kind:Checker.Hash_table ~config ~seed:11 ())
+               [ Config.foc_ul; Config.foc_stm; Config.fof ])
+        in
+        let lint () =
+          lint_json ~jobs:1 ~txns:8 ~seed:5 (Analyzer.find ~workload:"bank" ())
+        in
+        let plain = (check (), lint ()) in
+        Event_obs.set_enabled true;
+        Wsp_obs.Tracer.set_enabled true;
+        let observed = (check (), lint ()) in
+        Event_obs.set_enabled false;
+        Wsp_obs.Tracer.set_enabled false;
+        Metrics.reset_all ();
+        Alcotest.(check (pair string string)) "same JSON" plain observed);
+  ]
+
+(* --- streaming ≡ recorded -------------------------------------------------- *)
 
 let streaming_tests =
   [
@@ -252,6 +339,6 @@ let suite =
   [
     ("events.bus", bus_tests);
     ("events.trace", trace_tests);
-    ("events.observers", observer_tests);
+    ("events.observers", observer_tests @ observer_identity_tests);
     ("events.streaming", streaming_tests @ streaming_props);
   ]

@@ -34,18 +34,17 @@ let cache_tests =
         ignore (Cache.insert c ~line:8 ~dirty:false);
         ignore (Cache.probe c ~line:0);
         (* 8 is now LRU *)
-        match Cache.insert c ~line:16 ~dirty:false with
-        | Some victim ->
-            Alcotest.(check int) "victim is LRU" 8 victim.Cache.line;
-            Alcotest.(check bool) "0 stays" true (Cache.contains c ~line:0)
-        | None -> Alcotest.fail "expected an eviction");
+        let victim = Cache.insert c ~line:16 ~dirty:false in
+        if victim = Cache.no_victim then Alcotest.fail "expected an eviction";
+        Alcotest.(check int) "victim is LRU" 8 (Cache.victim_line victim);
+        Alcotest.(check bool) "0 stays" true (Cache.contains c ~line:0));
     Alcotest.test_case "dirty eviction reported" `Quick (fun () ->
         let c = small_cache () in
         ignore (Cache.insert c ~line:0 ~dirty:true);
         ignore (Cache.insert c ~line:8 ~dirty:false);
-        match Cache.insert c ~line:16 ~dirty:false with
-        | Some victim -> Alcotest.(check bool) "dirty" true victim.Cache.dirty
-        | None -> Alcotest.fail "expected an eviction");
+        let victim = Cache.insert c ~line:16 ~dirty:false in
+        if victim = Cache.no_victim then Alcotest.fail "expected an eviction";
+        Alcotest.(check bool) "dirty" true (Cache.victim_dirty victim));
     Alcotest.test_case "insert merges dirty flag" `Quick (fun () ->
         let c = small_cache () in
         ignore (Cache.insert c ~line:1 ~dirty:true);
@@ -564,9 +563,9 @@ type cache_op =
 let apply_cache_op c = function
   | C_probe l -> `Bool (Cache.probe c ~line:l)
   | C_insert (l, d) -> (
-      match Cache.insert c ~line:l ~dirty:d with
-      | None -> `No_victim
-      | Some v -> `Victim (v.Cache.line, v.Cache.dirty))
+      let v = Cache.insert c ~line:l ~dirty:d in
+      if v = Cache.no_victim then `No_victim
+      else `Victim (Cache.victim_line v, Cache.victim_dirty v))
   | C_set_dirty l ->
       Cache.set_dirty c ~line:l;
       `Unit
@@ -631,6 +630,113 @@ let snapshot_tests =
            live = restored));
   ]
 
+(* The struct-of-arrays tag store over three geometries (direct-mapped,
+   4-way, fully associative), checked after every op against the
+   brute-force [*_slow] folds and against a list-of-ways reference that
+   spells out the LRU policy: the victim is an invalid way if the set
+   has one, else the least recently used, ties to the lower way, with
+   stale ages kept on invalidated ways. Midway, a snapshot is taken and
+   restored after more ops; the restored cache must show the snapshot's
+   observations, dirty order included, and replay the rest identically. *)
+
+type ref_way = { mutable r_line : int; mutable r_valid : bool; mutable r_age : int }
+
+let ref_victim (set : ref_way array) =
+  let best = ref 0 in
+  for i = 1 to Array.length set - 1 do
+    let w = set.(i) and b = set.(!best) in
+    if not w.r_valid then (if b.r_valid || w.r_age < b.r_age then best := i)
+    else if b.r_valid && w.r_age < b.r_age then best := i
+  done;
+  !best
+
+let geometries = [ (16, 1); (32, 4); (16, 16) ]
+
+let cache_matches_reference (geo, ops, cut) =
+  let lines, assoc = List.nth geometries geo in
+  let c = small_cache ~size:(Units.Size.bytes (lines * 64)) ~assoc () in
+  let n_sets = lines / assoc in
+  let sets =
+    Array.init n_sets (fun _ ->
+        Array.init assoc (fun _ -> { r_line = 0; r_valid = false; r_age = 0 }))
+  in
+  let tick = ref 0 in
+  let ref_find line =
+    let set = sets.(line mod n_sets) in
+    let rec go i =
+      if i = assoc then None
+      else if set.(i).r_valid && set.(i).r_line = line then Some set.(i)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let touch w = incr tick; w.r_age <- !tick in
+  (* Returns whether the cache's answer matched the reference. *)
+  let step op =
+    match op with
+    | C_probe l ->
+        let want = match ref_find l with Some w -> touch w; true | None -> false in
+        Cache.probe c ~line:l = want
+    | C_insert (l, d) -> (
+        let v = Cache.insert c ~line:l ~dirty:d in
+        match ref_find l with
+        | Some w -> touch w; v = Cache.no_victim
+        | None ->
+            let set = sets.(l mod n_sets) in
+            let w = set.(ref_victim set) in
+            let ok =
+              if w.r_valid then v <> Cache.no_victim && Cache.victim_line v = w.r_line
+              else v = Cache.no_victim
+            in
+            w.r_line <- l;
+            w.r_valid <- true;
+            touch w;
+            ok)
+    | C_set_dirty l -> Cache.set_dirty c ~line:l; true
+    | C_invalidate l ->
+        ignore (Cache.invalidate c ~line:l);
+        (match ref_find l with Some w -> w.r_valid <- false | None -> ());
+        true
+  in
+  let agrees () =
+    Cache.dirty_count c = Cache.dirty_count_slow c
+    && Cache.resident_count c = Cache.resident_count_slow c
+    && List.sort compare (Cache.dirty_lines c)
+       = List.sort compare (Cache.dirty_lines_slow c)
+  in
+  let prefix = List.filteri (fun i _ -> i < cut) ops in
+  let suffix = List.filteri (fun i _ -> i >= cut) ops in
+  List.for_all (fun op -> step op && agrees ()) prefix
+  &&
+  let snap = Cache.snapshot c in
+  let at_snap = cache_obs c in
+  let live = List.map (apply_cache_op c) suffix in
+  Cache.restore c snap;
+  cache_obs c = at_snap
+  && agrees ()
+  && List.map (apply_cache_op c) suffix = live
+  && agrees ()
+
+let cache_geometry_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"array tag store matches slow folds, LRU reference and snapshots"
+         ~count:300
+         QCheck2.Gen.(
+           triple (int_range 0 2)
+             (list_size (int_range 0 120)
+                (oneof
+                   [
+                     map (fun l -> C_probe l) (int_range 0 63);
+                     map2 (fun l d -> C_insert (l, d)) (int_range 0 63) bool;
+                     map (fun l -> C_set_dirty l) (int_range 0 63);
+                     map (fun l -> C_invalidate l) (int_range 0 63);
+                   ]))
+             (int_range 0 120))
+         cache_matches_reference);
+  ]
+
 let hierarchy_snapshot_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -669,7 +775,8 @@ let hierarchy_snapshot_tests =
 
 let suite =
   [
-    ("machine.cache", cache_tests @ cache_props @ snapshot_tests);
+    ( "machine.cache",
+      cache_tests @ cache_props @ snapshot_tests @ cache_geometry_props );
     ("machine.wear_level", wear_tests);
     ( "machine.hierarchy",
       hierarchy_tests @ hierarchy_props @ hierarchy_snapshot_tests );

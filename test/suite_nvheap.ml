@@ -923,9 +923,183 @@ let tap_tests =
           (Nvram.persistent_image nv) backing);
   ]
 
+(* The flat image against the reference state model. A shadow built
+   only from the tap's ops (persistent backing + dirty-line overlay + WC
+   FIFO, the model the incremental checker replays) plus the documented
+   effects of [crash] and [load_backing] must agree with every view the
+   NVRAM offers after every step: reads see backing overlaid with dirty
+   lines but no undrained NT data; [volatile_image] adds the NT data;
+   [persistent_image], [peek_u64] and [blit_backing] see backing alone.
+   A two-level hierarchy of 8 + 16 lines keeps evictions frequent. *)
+
+type nv_op =
+  | N_write of int * int * int  (* addr, len, byte *)
+  | N_word of int * int  (* addr (any alignment), value *)
+  | N_nt of int * int
+  | N_fence
+  | N_clflush of int
+  | N_flush_range of int * int
+  | N_wbinvd
+  | N_crash
+  | N_load of int * int * int  (* addr, len, byte *)
+  | N_nt_store_fence_crash of int * int  (* word slot, value *)
+
+let tiny_nv_hierarchy =
+  let level name bytes assoc lat =
+    {
+      Wsp_machine.Cache.name;
+      size = Units.Size.bytes bytes;
+      line_size = 64;
+      associativity = assoc;
+      hit_latency = Time.ns lat;
+    }
+  in
+  {
+    (Wsp_machine.Platform.core_hierarchy Wsp_machine.Platform.intel_c5528) with
+    Wsp_machine.Hierarchy.levels = [ level "L1" 512 2 1.0; level "L2" 1024 4 4.0 ];
+  }
+
+let nv_size = 2048
+
+let gen_nv_op =
+  QCheck2.Gen.(
+    let addr len = int_range 0 (nv_size - len) in
+    frequency
+      [
+        (4, int_range 1 80 >>= fun len ->
+            map2 (fun a b -> N_write (a, len, b)) (addr len) (int_range 0 255));
+        (6, map2 (fun a v -> N_word (a, v)) (addr 8) (int_range 1 1_000_000));
+        (3, map2 (fun a v -> N_nt (a, v)) (addr 8) (int_range 1 1_000_000));
+        (3, pure N_fence);
+        (2, map (fun a -> N_clflush a) (addr 1));
+        (1, int_range 1 200 >>= fun len ->
+            map (fun a -> N_flush_range (a, len)) (addr len));
+        (1, pure N_wbinvd);
+        (1, pure N_crash);
+        (1, int_range 1 150 >>= fun len ->
+            map2 (fun a b -> N_load (a, len, b)) (addr len) (int_range 0 255));
+        (1, map2 (fun s v -> N_nt_store_fence_crash (s, v))
+              (int_range 0 (nv_size / 8 - 1)) (int_range 1 1_000_000));
+      ])
+
+let nv_ops_agree (ops, probes) =
+  let nv =
+    Nvram.create ~hierarchy:tiny_nv_hierarchy ~size:(Units.Size.bytes nv_size) ()
+  in
+  let ls = Nvram.line_size nv in
+  let backing = Bytes.make nv_size '\000' in
+  let overlay : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
+  let wc = Queue.create () in
+  Nvram.set_tap nv
+    (Some
+       Nvram.
+         {
+           on_slice =
+             (fun ~addr ~data ->
+               let line = addr / ls in
+               let buf =
+                 match Hashtbl.find_opt overlay line with
+                 | Some b -> b
+                 | None ->
+                     let b = Bytes.sub backing (line * ls) ls in
+                     Hashtbl.add overlay line b;
+                     b
+               in
+               Bytes.blit data 0 buf (addr mod ls) (Bytes.length data));
+           on_nt = (fun ~addr ~v -> Queue.add (addr, v) wc);
+           on_wb =
+             (fun ~line ~data ->
+               Bytes.blit data 0 backing (line * ls) ls;
+               Hashtbl.remove overlay line);
+           on_drain =
+             (fun () ->
+               Queue.iter (fun (addr, v) -> Bytes.set_int64_le backing addr v) wc;
+               Queue.clear wc);
+         });
+  let readable () =
+    let img = Bytes.copy backing in
+    Hashtbl.iter (fun line data -> Bytes.blit data 0 img (line * ls) ls) overlay;
+    img
+  in
+  let volatile () =
+    let img = readable () in
+    Queue.iter (fun (addr, v) -> Bytes.set_int64_le img addr v) wc;
+    img
+  in
+  let crash () =
+    Nvram.crash nv;
+    Hashtbl.reset overlay;
+    Queue.clear wc
+  in
+  let apply = function
+    | N_write (addr, len, b) -> Nvram.write_bytes nv ~addr (Bytes.make len (Char.chr b))
+    | N_word (addr, v) -> Nvram.write_u64 nv ~addr (Int64.of_int v)
+    | N_nt (addr, v) -> Nvram.write_u64_nt nv ~addr (Int64.of_int v)
+    | N_fence -> Nvram.fence nv
+    | N_clflush addr -> Nvram.clflush nv ~addr
+    | N_flush_range (addr, len) -> Nvram.flush_range nv ~addr ~len
+    | N_wbinvd -> Nvram.wbinvd nv
+    | N_crash -> crash ()
+    | N_load (addr, len, b) ->
+        Nvram.load_backing nv ~addr (Bytes.make len (Char.chr b));
+        Bytes.fill backing addr len (Char.chr b);
+        for line = addr / ls to (addr + len - 1) / ls do
+          Hashtbl.remove overlay line
+        done;
+        let keep = Queue.fold (fun acc (a, v) ->
+            if a >= addr && a < addr + len then acc else (a, v) :: acc) [] wc in
+        Queue.clear wc;
+        List.iter (fun e -> Queue.add e wc) (List.rev keep)
+    | N_nt_store_fence_crash (slot, v) ->
+        (* The NT data must survive: the cached store's line hides it
+           from reads, but the fence makes it persistent underneath. *)
+        let addr = slot * 8 in
+        Nvram.write_u64_nt nv ~addr (Int64.of_int v);
+        Nvram.write_u64 nv ~addr:(addr land lnot 63) (Int64.of_int (v + 1));
+        Nvram.fence nv;
+        crash ()
+  in
+  let probes = Array.of_list probes in
+  List.for_all
+    (fun (i, op) ->
+      apply op;
+      let pa, plen = probes.(i mod Array.length probes) in
+      let word = pa land lnot 7 in
+      let persistent = Nvram.persistent_image nv in
+      let blitted = Bytes.create plen in
+      Nvram.blit_backing nv ~addr:pa ~len:plen blitted ~dst_off:0;
+      Bytes.equal persistent backing
+      && Bytes.equal (Nvram.volatile_image nv) (volatile ())
+      && Bytes.equal blitted (Bytes.sub backing pa plen)
+      && Int64.equal (Nvram.peek_u64 nv ~addr:word) (Bytes.get_int64_le backing word)
+      && Int64.equal (Nvram.peek_u64 nv ~addr:pa) (Bytes.get_int64_le backing pa)
+      && Bytes.equal (Nvram.read_bytes nv ~addr:pa ~len:plen)
+           (Bytes.sub (readable ()) pa plen)
+      && Int64.equal (Nvram.read_u64 nv ~addr:word)
+           (Bytes.get_int64_le (readable ()) word)
+      && List.length (Nvram.overlay_lines nv) = Hashtbl.length overlay
+      && Nvram.pending_nt nv = List.of_seq (Queue.to_seq wc))
+    (List.mapi (fun i op -> (i, op)) ops)
+
+let nvram_model_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"flat image agrees with the overlay model at every step"
+         ~count:300
+         QCheck2.Gen.(
+           pair
+             (list_size (int_range 1 80) gen_nv_op)
+             (list_size (int_range 1 8)
+                (int_range 1 100 >>= fun len ->
+                 map (fun a -> (a, len)) (int_range 0 (nv_size - len - 8)))))
+         nv_ops_agree);
+  ]
+
 let suite =
   [
-    ("nvheap.nvram", nvram_tests @ nvram_props @ fence_crash_props @ tap_tests);
+    ("nvheap.nvram", nvram_tests @ nvram_props @ fence_crash_props @ tap_tests
+      @ nvram_model_props);
     ("nvheap.alloc", alloc_tests @ alloc_props);
     ("nvheap.rawlog", rawlog_tests @ rawlog_props @ rawlog_torn_tests);
     ( "nvheap.txn",
